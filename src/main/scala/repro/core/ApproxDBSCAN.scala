@@ -30,6 +30,13 @@ object ApproxDBSCAN {
       summarySize: Int
   )
 
+  /** Lemma 8 needs r̄ = ρε/2 ≤ ε, i.e. ρ ≤ 2: it makes C_e ⊆ B(e, ε), on
+    * which the dense-ball shortcut here and Algorithm 3's |M| bound rest.
+    * Every ρ-approximate entry point checks it.
+    */
+  def requireRho(rho: Double): Unit =
+    require(rho > 0 && rho <= 2, "rho ∈ (0, 2] (Lemma 8 needs r̄ = ρε/2 ≤ ε)")
+
   def run[T](
       points: IndexedSeq[T],
       metric: Metric[T],
@@ -38,17 +45,12 @@ object ApproxDBSCAN {
       rho: Double,
       precomputed: Option[(GonzalezResult, Long)] = None
   ): Output = {
-    require(eps > 0 && minPts >= 1 && rho > 0)
+    require(eps > 0 && minPts >= 1)
+    requireRho(rho)
     val rBar = rho * eps / 2.0
     val n    = points.length
 
-    val t0 = System.nanoTime()
-    val (g, gonzalezNs) = precomputed match {
-      case Some((res, ns)) => (res, ns)
-      case None =>
-        val r = Gonzalez.run(points, metric, rBar)
-        (r, System.nanoTime() - t0)
-    }
+    val (g, gonzalezNs) = Gonzalez.netFor(points, metric, rBar, precomputed)
     val k = g.numCenters
 
     // ---- Build the summary S* -------------------------------------------

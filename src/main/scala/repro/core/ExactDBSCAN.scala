@@ -49,13 +49,7 @@ object ExactDBSCAN {
     require(rBar <= eps / 2.0 + 1e-12, s"rBar=$rBar must be ≤ ε/2=${eps / 2}")
     val n = points.length
 
-    val t0 = System.nanoTime()
-    val (g, gonzalezNs) = precomputed match {
-      case Some((res, ns)) => (res, ns)
-      case None =>
-        val r = Gonzalez.run(points, metric, rBar)
-        (r, System.nanoTime() - t0)
-    }
+    val (g, gonzalezNs) = Gonzalez.netFor(points, metric, rBar, precomputed)
     val k = g.numCenters
 
     // ---- Step 1: label core points -------------------------------------

@@ -29,7 +29,8 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
     minPts: Int,
     rho: Double
 ) extends Serializable {
-  require(eps > 0 && minPts >= 1 && rho > 0)
+  require(eps > 0 && minPts >= 1)
+  ApproxDBSCAN.requireRho(rho)
   val rBar: Double = rho * eps / 2.0
 
   // ---- state --------------------------------------------------------------

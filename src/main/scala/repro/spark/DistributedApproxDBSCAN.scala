@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{DBSCANResult, Metric, UnionFind}
+import repro.core.{ApproxDBSCAN, DBSCANResult, Metric, UnionFind}
 import scala.reflect.ClassTag
 
 /** Distributed ρ-approximate metric DBSCAN (Algorithm 2 as RDD map/reduce).
@@ -34,8 +34,8 @@ object DistributedApproxDBSCAN {
       rho: Double,
       partitionedNet: Boolean = false
   ): Output = {
-    require(eps > 0 && minPts >= 1 && rho > 0 && rho <= 2,
-      "rho ∈ (0, 2] (Lemma 8 needs r̄ = ρε/2 ≤ ε)")
+    require(eps > 0 && minPts >= 1)
+    ApproxDBSCAN.requireRho(rho)
     val sc   = spark.sparkContext
     val rBar = rho * eps / 2.0
 

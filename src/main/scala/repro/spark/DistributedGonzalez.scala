@@ -13,8 +13,9 @@ import scala.reflect.ClassTag
   *    farthest from the current center set with a `reduce`, broadcasts the
   *    new center, and refreshes every point's (minDist, centerIdx) state with
   *    a `map`. Lineage is truncated with `localCheckpoint` every few rounds
-  *    so |E| iterations do not build an |E|-deep DAG. The centers chosen are
-  *    exactly those the sequential algorithm would pick (modulo argmax ties).
+  *    so |E| iterations do not build an |E|-deep DAG. Ties for the farthest
+  *    point go to the lowest id, whatever the partitioning, so with ids equal
+  *    to input positions the centers are exactly the sequential algorithm's.
   *
   *  - [[runPartitioned]] — the one-round MapReduce net construction
   *    (Ceccarello et al. [9]): each partition builds a local r̄/2-net by
@@ -53,7 +54,7 @@ object DistributedGonzalez {
     var continue = true
     var rounds   = 0
     while (continue && centers.length < maxCenters) {
-      val far = state.reduce((a, b) => if (a.dist >= b.dist) a else b)
+      val far = state.reduce((a, b) => if (a.dist > b.dist || (a.dist == b.dist && a.id < b.id)) a else b)
       if (far.dist <= rBar) continue = false
       else {
         val newIdx = centers.length

@@ -117,4 +117,20 @@ class ApproxDBSCANSpec extends AnyFunSuite {
     val b    = ApproxDBSCAN.run(pts, EuclideanMetric, eps, 5, rho, precomputed = Some((g, 0L)))
     assert(a.result.labels.sameElements(b.result.labels))
   }
+
+  test("rho = 3 is rejected (Lemma 8 needs rho ≤ 2)") {
+    val pts = blobs(50, 2, 1, seed = 82)
+    val e   = intercept[IllegalArgumentException](ApproxDBSCAN.run(pts, EuclideanMetric, 1.0, 5, 3.0))
+    assert(e.getMessage.contains("Lemma 8"))
+  }
+
+  test("a precomputed net that a center cap stopped early is rejected") {
+    val pts    = blobs(250, 2, 3, seed = 83)
+    val rho    = 0.5; val eps = 1.0
+    val capped = Gonzalez.run(pts, EuclideanMetric, rho * eps / 2, maxCenters = 3)
+    assert(capped.coveringRadius > rho * eps / 2)
+    val e = intercept[IllegalArgumentException](
+      ApproxDBSCAN.run(pts, EuclideanMetric, eps, 5, rho, precomputed = Some((capped, 0L))))
+    assert(e.getMessage.contains("maxCenters"))
+  }
 }

@@ -121,4 +121,13 @@ class ExactDBSCANSpec extends AnyFunSuite {
     assert(out.timings.totalNs >= out.timings.gonzalezNs)
     assert(out.numCenters > 0)
   }
+
+  test("a precomputed net that a center cap stopped early is rejected") {
+    val pts    = blobs(250, 2, 3, seed = 62)
+    val capped = Gonzalez.run(pts, EuclideanMetric, 0.5, maxCenters = 3)
+    assert(capped.coveringRadius > 0.5)
+    val e = intercept[IllegalArgumentException](
+      ExactDBSCAN.run(pts, EuclideanMetric, 1.0, 5, precomputed = Some((capped, 0L))))
+    assert(e.getMessage.contains("maxCenters"))
+  }
 }

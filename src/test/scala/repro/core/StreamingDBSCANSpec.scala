@@ -102,4 +102,9 @@ class StreamingDBSCANSpec extends AnyFunSuite {
     val (labels, _) = StreamingDBSCAN.runBatch(pts, EuclideanMetric, 1.0, 1, 0.5)
     assert(labels.forall(_ >= 0))
   }
+
+  test("rho = 3 is rejected (Lemma 8 needs rho ≤ 2)") {
+    val e = intercept[IllegalArgumentException](new StreamingDBSCAN[Vec](EuclideanMetric, 1.0, 5, 3.0))
+    assert(e.getMessage.contains("Lemma 8"))
+  }
 }

@@ -6,8 +6,8 @@ import repro.core.{EuclideanMetric, TestUtil}
 class DistributedGonzalezSpec extends SparkSpec {
   import TestUtil._
 
-  private def toRdd(pts: IndexedSeq[Vec]) =
-    spark.sparkContext.parallelize(pts.zipWithIndex.map { case (p, i) => (i.toLong, p) }, 4)
+  private def toRdd(pts: IndexedSeq[Vec], partitions: Int = 4) =
+    spark.sparkContext.parallelize(pts.zipWithIndex.map { case (p, i) => (i.toLong, p) }, partitions)
 
   test("iterative mode: covering, packing, nearest-assignment") {
     val pts  = blobs(500, 2, 3, outliers = 15, seed = 201)
@@ -37,6 +37,18 @@ class DistributedGonzalezSpec extends SparkSpec {
     // same space, so the sizes match up to the packing/covering slack.
     assert(math.abs(seq.numCenters - dist.centers.length) <= math.max(2, seq.numCenters / 5),
       s"sequential ${seq.numCenters} vs distributed ${dist.centers.length}")
+  }
+
+  test("iterative mode breaks distance ties by lowest id, whatever the partitioning") {
+    // An integer grid with duplicates: nearly every farthest point is tied.
+    val rnd  = new scala.util.Random(205)
+    val pts  = IndexedSeq.fill(300)(Array(rnd.nextInt(12).toDouble, rnd.nextInt(12).toDouble))
+    val rBar = 1.5
+    val two  = DistributedGonzalez.run(toRdd(pts, 2), EuclideanMetric, rBar).centers
+    val five = DistributedGonzalez.run(toRdd(pts, 5), EuclideanMetric, rBar).centers
+    val seq  = repro.core.Gonzalez.run(pts, EuclideanMetric, rBar).centerIdx.map(pts)
+    assert(two.map(_.toSeq) == five.map(_.toSeq), "centers depend on the partition count")
+    assert(two.map(_.toSeq) == seq.map(_.toSeq), "centers differ from the sequential net")
   }
 
   test("iterative mode survives many rounds (lineage truncation)") {

@@ -21,6 +21,10 @@ class StructuredStreamingDBSCANSpec extends SparkSpec {
     Array.tabulate(pts.length)(i => labeled(i.toLong))
   }
 
+  test("rho = 3 is rejected (Lemma 8 needs rho ≤ 2)") {
+    intercept[IllegalArgumentException](new StructuredStreamingDBSCAN(spark, 1.0, 5, 3.0))
+  }
+
   test("structured-streaming pass 1 equals the in-memory engine") {
     val pts = blobs(250, 2, 3, outliers = 10, seed = 221)
     val got = runStreaming(pts, eps = 1.0, minPts = 5, rho = 0.5, batches = 7)
