@@ -66,7 +66,7 @@ object ApproxDBSCAN {
         val cn = g.coverSets(A(e)(a))
         var j  = 0
         while (j < cn.length) {
-          if (metric.dist(pp, points(cn(j))) <= eps) cnt += 1
+          if (metric.distWithin(pp, points(cn(j)), eps) <= eps) cnt += 1
           j += 1
         }
         a += 1
@@ -121,7 +121,7 @@ object ApproxDBSCAN {
         while (lst.nonEmpty) {
           val sj = lst.head
           if (sj > si && !uf.connected(si, sj) &&
-              metric.dist(points(s), points(sStar(sj))) <= mergeEps) uf.union(si, sj)
+              metric.distWithin(points(s), points(sStar(sj)), mergeEps) <= mergeEps) uf.union(si, sj)
           lst = lst.tail
         }
         a += 1
@@ -166,7 +166,7 @@ object ApproxDBSCAN {
             var lst = summaryByBall(A(e0)(a))
             while (lst.nonEmpty && found < 0) {
               val sj = lst.head
-              if (metric.dist(pp, points(sStar(sj))) <= assignEps) found = sj
+              if (metric.distWithin(pp, points(sStar(sj)), assignEps) <= assignEps) found = sj
               lst = lst.tail
             }
             a += 1

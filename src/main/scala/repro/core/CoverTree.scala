@@ -9,7 +9,7 @@ import scala.collection.mutable
   *   - *covering*: every child of a node at level i is within 2^i of it;
   *   - *descendant radius*: any descendant of a node at level i is within
   *     Σ_{j ≤ i} 2^j = 2^(i+1) of it — this is the branch-and-bound pruning
-  *     radius used by [[nearest]].
+  *     radius used by [[nearestWithin]].
   *
   * Exact duplicates are folded into a node multiplicity so insertion always
   * terminates. The paper uses the cover tree only for the BCP sub-problems in
@@ -40,23 +40,28 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
     val dRoot = metric.dist(point, root.point)
     if (dRoot == 0.0) { root.duplicates ::= idx; return }
     // Raise the root level until the new point fits under it.
-    if (dRoot > math.pow(2.0, root.level)) root.level = levelFor(dRoot)
+    if (dRoot > Math.scalb(1.0, root.level)) root.level = levelFor(dRoot)
     insertRec(root, point, idx, dRoot)
   }
 
-  /** Pre: d(p, q.point) ≤ 2^q.level. Attach p somewhere below q. */
+  /** Pre: d(p, q.point) ≤ 2^q.level. Attach p somewhere below q: under the
+    * closest child c with d(p, c) ≤ 2^c.level, else as a new child of q at
+    * level q.level − 1. Each child is tested against its own level, not
+    * q.level − 1: a child created before the root's level was raised sits
+    * lower, and adopting a point beyond 2^c.level would break its
+    * descendant radius, which the search prunes with.
+    */
   @annotation.tailrec
   private def insertRec(q: Node, p: T, idx: Int, dq: Double): Unit = {
     if (dq == 0.0) { q.duplicates ::= idx; return }
-    val childRadius = math.pow(2.0, q.level - 1)
-    // Descend into a child that can cover p, if any.
     var it    = q.children
     var best: Node = null
     var bestD = Double.PositiveInfinity
     while (it.nonEmpty) {
-      val c = it.head
-      val d = metric.dist(p, c.point)
-      if (d <= childRadius && d < bestD) { best = c; bestD = d }
+      val c      = it.head
+      val radius = Math.scalb(1.0, c.level)
+      val d      = metric.distWithin(p, c.point, radius)
+      if (d <= radius && d < bestD) { best = c; bestD = d }
       it = it.tail
     }
     if (best != null) insertRec(best, p, idx, bestD)
@@ -66,58 +71,35 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
     }
   }
 
-  /** Nearest neighbor of `query`: (carrier id, distance). Best-first search
-    * with the 2^(level+1) descendant-radius bound; exact.
-    */
-  def nearest(query: T): (Int, Double) = {
-    require(root != null, "nearest() on empty cover tree")
-    var bestIdx  = root.idx
-    var bestDist = metric.dist(query, root.point)
-    // Min-heap on optimistic bound d(query, node) - 2^(node.level+1).
-    implicit val ord: Ordering[(Double, Double, Node)] = Ordering.by(-_._1)
-    val pq = mutable.PriorityQueue.empty[(Double, Double, Node)]
-    def bound(d: Double, n: Node): Double = d - math.pow(2.0, n.level + 1)
-    pq.enqueue((bound(bestDist, root), bestDist, root))
-    while (pq.nonEmpty) {
-      val (b, d, node) = pq.dequeue()
-      if (b >= bestDist) return (bestIdx, bestDist) // heap is bound-sorted: done
-      if (d < bestDist) { bestDist = d; bestIdx = node.idx }
-      var it = node.children
-      while (it.nonEmpty) {
-        val c  = it.head
-        val dc = metric.dist(query, c.point)
-        if (dc < bestDist) { bestDist = dc; bestIdx = c.idx }
-        val bc = bound(dc, c)
-        if (bc < bestDist) pq.enqueue((bc, dc, c))
-        it = it.tail
-      }
-    }
-    (bestIdx, bestDist)
-  }
+  /** Nearest neighbor of `query`: (carrier id, distance); exact. */
+  def nearest(query: T): (Int, Double) = nearestWithin(query, Double.PositiveInfinity)
 
   /** Nearest neighbor with early abandoning: exact result if the true NN
     * distance ≤ cutoff, otherwise may return any (idx, d) with d > cutoff.
+    * Best-first search with the 2^(level+1) descendant-radius bound: a node
+    * whose distance minus that radius reaches min(best, cutoff) is pruned,
+    * so each distance is evaluated within min(best, cutoff) + 2^(level+1).
     * Used by the BCP merge step where only distances ≤ ε matter.
     */
   def nearestWithin(query: T, cutoff: Double): (Int, Double) = {
-    require(root != null, "nearestWithin() on empty cover tree")
+    require(root != null, "nearest() on empty cover tree")
     var bestIdx  = root.idx
-    var bestDist = metric.dist(query, root.point)
+    var bestDist = metric.distWithin(query, root.point, cutoff + Math.scalb(1.0, root.level + 1))
+    // Min-heap on optimistic bound d(query, node) - 2^(node.level+1).
     implicit val ord: Ordering[(Double, Double, Node)] = Ordering.by(-_._1)
     val pq = mutable.PriorityQueue.empty[(Double, Double, Node)]
-    def bound(d: Double, n: Node): Double = d - math.pow(2.0, n.level + 1)
-    pq.enqueue((bound(bestDist, root), bestDist, root))
+    pq.enqueue((bestDist - Math.scalb(1.0, root.level + 1), bestDist, root))
     while (pq.nonEmpty) {
       val (b, d, node) = pq.dequeue()
-      val target = math.min(bestDist, cutoff)
-      if (b >= target) return (bestIdx, bestDist)
+      if (b >= math.min(bestDist, cutoff)) return (bestIdx, bestDist) // heap is bound-sorted: done
       if (d < bestDist) { bestDist = d; bestIdx = node.idx }
       var it = node.children
       while (it.nonEmpty) {
-        val c  = it.head
-        val dc = metric.dist(query, c.point)
+        val c      = it.head
+        val radius = Math.scalb(1.0, c.level + 1)
+        val dc     = metric.distWithin(query, c.point, math.min(bestDist, cutoff) + radius)
         if (dc < bestDist) { bestDist = dc; bestIdx = c.idx }
-        val bc = bound(dc, c)
+        val bc = dc - radius
         if (bc < math.min(bestDist, cutoff)) pq.enqueue((bc, dc, c))
         it = it.tail
       }

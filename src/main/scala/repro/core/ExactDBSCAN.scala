@@ -77,7 +77,7 @@ object ExactDBSCAN {
             val cn = g.coverSets(ne)
             var j  = 0
             while (j < cn.length && !done) {
-              if (metric.dist(pp, points(cn(j))) <= eps) {
+              if (metric.distWithin(pp, points(cn(j)), eps) <= eps) {
                 cnt += 1
                 if (cnt >= minPts) done = true
               }

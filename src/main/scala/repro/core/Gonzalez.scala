@@ -44,7 +44,9 @@ final case class GonzalezResult(
   *   - otherwise a member i is skipped if dis(c, e) ≥ 2·dis(i, e).
   * A skipped point has dis(c, i) ≥ dis(i, e), so the strict `<` update of the
   * full scan could not move it to c. Every point that is not skipped gets
-  * the same `metric.dist(point, c)` call as in the full scan, and the next
+  * `metric.distWithin(point, c, dis(i))`, exact wherever the full scan's
+  * `metric.dist(point, c)` could win the strict `<` (see [[Metric]]), and
+  * dis(c, e) is evaluated within 2·rad(e), past which C_e is skipped. The next
   * center is the largest rad(e), ties going to the lowest point index — the
   * full scan's own argmax rule. So the output equals the full scan's in
   * every field, ties between integer distances included; only the number of
@@ -123,7 +125,7 @@ object Gonzalez {
       } else {
         var e = 0
         while (e < k) {
-          val half = metric.dist(c, points(centers(e))) / 2
+          val half = metric.distWithin(c, points(centers(e)), 2 * rad(e)) / 2
           // Negated tests throughout, so a NaN distance prunes nothing.
           if (!(rad(e) <= half)) {
             // Relax the members of C_e that c may be closer to; the ones that
@@ -136,7 +138,7 @@ object Gonzalez {
               val i     = m(j)
               var moved = false
               if (!(dists(i) <= half)) {
-                val d = metric.dist(points(i), c)
+                val d = metric.distWithin(points(i), c, dists(i))
                 if (d < dists(i)) {
                   dists(i) = d
                   assignment(i) = k
@@ -221,7 +223,7 @@ object Gonzalez {
       out(i) += i
       var j = i + 1
       while (j < k) {
-        if (metric.dist(cs(i), cs(j)) <= threshold) { out(i) += j; out(j) += i }
+        if (metric.distWithin(cs(i), cs(j), threshold) <= threshold) { out(i) += j; out(j) += i }
         j += 1
       }
       i += 1

@@ -62,7 +62,8 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
       var e        = 0
       val k        = centers.length
       while (e < k) {
-        val d = metric.dist(p, centers(e))
+        // Exact up to ε, which covers both tests (r̄ = ρε/2 ≤ ε).
+        val d = metric.distWithin(p, centers(e), eps)
         if (d <= eps) {
           epsCount(e) += 1
           if (!centerCore(e) && epsCount(e) >= minPts) {
@@ -110,7 +111,7 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
     chunk.iterator.foreach { q =>
       var i = 0
       while (i < mCandidates.length) {
-        if (metric.dist(q, mCandidates(i)) <= eps) mCounts(i) += 1
+        if (metric.distWithin(q, mCandidates(i), eps) <= eps) mCounts(i) += 1
         i += 1
       }
     }
@@ -141,7 +142,7 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
     while (a < summaryPts.length) {
       var b = a + 1
       while (b < summaryPts.length) {
-        if (!uf.connected(a, b) && metric.dist(summaryPts(a), summaryPts(b)) <= mergeEps)
+        if (!uf.connected(a, b) && metric.distWithin(summaryPts(a), summaryPts(b), mergeEps) <= mergeEps)
           uf.union(a, b)
         b += 1
       }
@@ -162,7 +163,7 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
       var cp = -1
       var e  = 0
       while (e < centers.length && cp < 0) {
-        if (metric.dist(p, centers(e)) <= rBar) cp = e
+        if (metric.distWithin(p, centers(e), rBar) <= rBar) cp = e
         e += 1
       }
       if (cp >= 0 && centerSummaryPos(cp) >= 0) summaryLbl(centerSummaryPos(cp))
@@ -170,7 +171,7 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
         var found = -1
         var s     = 0
         while (s < summaryPts.length && found < 0) {
-          if (metric.dist(p, summaryPts(s)) <= assignEps) found = s
+          if (metric.distWithin(p, summaryPts(s), assignEps) <= assignEps) found = s
           s += 1
         }
         if (found >= 0) summaryLbl(found) else DBSCANResult.Noise

@@ -25,20 +25,31 @@ object Table2 {
     Workloads.mrpcText(scale)
   )
 
+  /** Untimed calls before the timed ones: for [[WarmupNs]] of run time, at
+    * most [[WarmupCalls]] calls. The JIT settles after a stretch of run time,
+    * not a call count: Cancer (569 points) takes 25 ms a call for its first
+    * 13 calls and 9 ms from the 14th on, Moons (10 000 points) settles only
+    * around its 30th call, a second in.
+    */
+  private val WarmupNs    = 1500000000L
+  private val WarmupCalls = 200
+  private val TimedCalls  = 3
+
   def run(scale: Double = 1.0): Seq[Row] =
     workloads(scale).map {
-      case v: VecWorkload =>
-        // first run warms the JIT; the second is the measurement
-        ExactDBSCAN.run(v.ds.points, v.ds.metric, v.eps, v.minPts)
-        toRow(v.name, ExactDBSCAN.run(v.ds.points, v.ds.metric, v.eps, v.minPts))
-      case t: TextWorkload =>
-        ExactDBSCAN.run(t.ds.points, t.ds.metric, t.eps, t.minPts)
-        toRow(t.name, ExactDBSCAN.run(t.ds.points, t.ds.metric, t.eps, t.minPts))
+      case v: VecWorkload  => measure(v.name)(ExactDBSCAN.run(v.ds.points, v.ds.metric, v.eps, v.minPts))
+      case t: TextWorkload => measure(t.name)(ExactDBSCAN.run(t.ds.points, t.ds.metric, t.eps, t.minPts))
     }
 
-  private def toRow(name: String, out: ExactDBSCAN.Output): Row =
-    Row(name, out.timings.gonzalezNs / 1e6, out.timings.totalNs / 1e6,
-      out.timings.gonzalezFraction)
+  /** The row of the timed call with the median total, after the warm-up. */
+  private def measure(name: String)(call: => ExactDBSCAN.Output): Row = {
+    val until = System.nanoTime() + WarmupNs
+    var i     = 0
+    while (i < WarmupCalls && System.nanoTime() < until) { call; i += 1 }
+    val timed = Seq.fill(TimedCalls)(call.timings).sortBy(_.totalNs)
+    val t     = timed(TimedCalls / 2)
+    Row(name, t.gonzalezNs / 1e6, t.totalNs / 1e6, t.gonzalezFraction)
+  }
 
   def render(rows: Seq[Row]): String =
     TableFormat.render(

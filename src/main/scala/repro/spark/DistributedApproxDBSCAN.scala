@@ -53,7 +53,7 @@ object DistributedApproxDBSCAN {
         val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Long)]
         var i = 0
         while (i < cs.length) {
-          if (metric.dist(p, cs(i)) <= eps) out += ((i, 1L))
+          if (metric.distWithin(p, cs(i), eps) <= eps) out += ((i, 1L))
           i += 1
         }
         out
@@ -78,7 +78,7 @@ object DistributedApproxDBSCAN {
         val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Long)]
         var i = 0
         while (i < mm.length) {
-          if (metric.dist(q, mm(i)._2) <= eps) out += ((i, 1L))
+          if (metric.distWithin(q, mm(i)._2, eps) <= eps) out += ((i, 1L))
           i += 1
         }
         out
@@ -99,7 +99,7 @@ object DistributedApproxDBSCAN {
     val uf       = new UnionFind(summary.length)
     val mergeEps = (1.0 + rho) * eps
     for (a <- summary.indices; b <- a + 1 until summary.length)
-      if (!uf.connected(a, b) && metric.dist(summary(a), summary(b)) <= mergeEps) uf.union(a, b)
+      if (!uf.connected(a, b) && metric.distWithin(summary(a), summary(b), mergeEps) <= mergeEps) uf.union(a, b)
     val sLabel = uf.componentIds
 
     // ---- 6. one labeling pass ----------------------------------------------------
@@ -114,7 +114,7 @@ object DistributedApproxDBSCAN {
           var found = -1
           var s     = 0
           while (s < sPts.length && found < 0) {
-            if (metric.dist(a.point, sPts(s)) <= assignEps) found = s
+            if (metric.distWithin(a.point, sPts(s), assignEps) <= assignEps) found = s
             s += 1
           }
           if (found >= 0) lbl(found) else DBSCANResult.Noise

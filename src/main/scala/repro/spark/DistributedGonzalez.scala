@@ -16,6 +16,7 @@ import scala.reflect.ClassTag
   *    so |E| iterations do not build an |E|-deep DAG. Ties for the farthest
   *    point go to the lowest id, whatever the partitioning, so with ids equal
   *    to input positions the centers are exactly the sequential algorithm's.
+  *    The run fails if `maxCenters` centers do not cover the data at r̄.
   *
   *  - [[runPartitioned]] — the one-round MapReduce net construction
   *    (Ceccarello et al. [9]): each partition builds a local r̄/2-net by
@@ -51,10 +52,13 @@ object DistributedGonzalez {
       .persist(StorageLevel.MEMORY_AND_DISK)
     val centers = scala.collection.mutable.ArrayBuffer[T](first)
 
+    def farthest(): Assigned[T] =
+      state.reduce((a, b) => if (a.dist > b.dist || (a.dist == b.dist && a.id < b.id)) a else b)
+
     var continue = true
     var rounds   = 0
     while (continue && centers.length < maxCenters) {
-      val far = state.reduce((a, b) => if (a.dist > b.dist || (a.dist == b.dist && a.id < b.id)) a else b)
+      val far = farthest()
       if (far.dist <= rBar) continue = false
       else {
         val newIdx = centers.length
@@ -62,7 +66,7 @@ object DistributedGonzalez {
         val bc  = sc.broadcast(far.point)
         val old = state
         state = state.map { a =>
-          val d = metric.dist(a.point, bc.value)
+          val d = metric.distWithin(a.point, bc.value, a.dist)
           if (d < a.dist) Assigned(a.point, a.id, newIdx, d) else a
         }.persist(StorageLevel.MEMORY_AND_DISK)
         rounds += 1
@@ -70,6 +74,13 @@ object DistributedGonzalez {
         state.count() // materialize before dropping the parent
         old.unpersist(blocking = false)
       }
+    }
+    // A net the cap stopped early is not an r̄-cover, and every guarantee
+    // built on it would fail silently.
+    if (continue) {
+      val left = farthest().dist
+      require(left <= rBar, s"maxCenters = $maxCenters reached with a point at distance $left " +
+        s"from the net, not covered at r̄ = $rBar")
     }
     Result(centers.toIndexedSeq, state)
   }
@@ -87,7 +98,7 @@ object DistributedGonzalez {
       .mapPartitions { it =>
         val net = scala.collection.mutable.ArrayBuffer.empty[T]
         it.foreach { case (_, p) =>
-          if (!net.exists(c => metric.dist(p, c) <= half)) net += p
+          if (!net.exists(c => metric.distWithin(p, c, half) <= half)) net += p
         }
         net.iterator
       }
@@ -95,7 +106,7 @@ object DistributedGonzalez {
     // Round 2: sequential re-net of the (small) union at r̄/2.
     val centers = scala.collection.mutable.ArrayBuffer.empty[T]
     localNets.foreach { p =>
-      if (!centers.exists(c => metric.dist(p, c) <= half)) centers += p
+      if (!centers.exists(c => metric.distWithin(p, c, half) <= half)) centers += p
     }
     val bc = data.sparkContext.broadcast(centers.toIndexedSeq)
     val assigned = data.map { case (id, p) =>
@@ -104,7 +115,7 @@ object DistributedGonzalez {
       val cs   = bc.value
       var i    = 0
       while (i < cs.length) {
-        val d = metric.dist(p, cs(i))
+        val d = metric.distWithin(p, cs(i), best)
         if (d < best) { best = d; bi = i }
         i += 1
       }

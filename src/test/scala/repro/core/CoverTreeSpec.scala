@@ -119,6 +119,42 @@ class CoverTreeSpec extends AnyFunSuite {
     assert(tree.size == 300)
   }
 
+  test("a child created before the root level rose adopts only points within its own radius") {
+    // Inserting 10 raises the root level above the level of 1's node; 5 must
+    // not be filed under 1, or the search prunes it away.
+    val pts  = IndexedSeq(0.0, 1.0, 10.0, 5.0).map(Array(_))
+    val tree = CoverTree.build(pts, pts.indices, EuclideanMetric)
+    assert(tree.nearest(Array(6.5)) == ((3, 1.5)))
+    assert(tree.nearestWithin(Array(6.5), 2.0) == ((3, 1.5)))
+  }
+
+  test("NN matches brute force on 3000 small one-dimensional trees") {
+    val rnd = new Random(42)
+    for (t <- 0 until 3000) {
+      val n    = 2 + rnd.nextInt(30)
+      val pts  = IndexedSeq.fill(n)(Array(rnd.nextInt(1 << (1 + rnd.nextInt(8))).toDouble))
+      val tree = CoverTree.build(pts, pts.indices, EuclideanMetric)
+      val q    = Array(rnd.nextDouble() * 256)
+      val (idx, d) = tree.nearest(q)
+      val want = bruteNN(pts, pts.indices, q)
+      assert(d == want && EuclideanMetric.dist(pts(idx), q) == d,
+        s"tree $t (${pts.map(_(0)).mkString(", ")}), query ${q(0)}: got $d want $want")
+    }
+  }
+
+  test("queries stay exact when distWithin returns +∞ past its bound") {
+    val pts  = blobs(200, 3, 3, seed = 43)
+    val tree = CoverTree.build(pts, pts.indices, new MetricSpec.Overshoot(EuclideanMetric))
+    val rnd  = new Random(44)
+    for (_ <- 0 until 60) {
+      val q  = pts(rnd.nextInt(pts.length)).map(_ + rnd.nextGaussian())
+      val bd = bruteNN(pts, pts.indices, q)
+      assert(math.abs(tree.nearest(q)._2 - bd) < 1e-9)
+      assert(math.abs(tree.nearestWithin(q, bd + 0.5)._2 - bd) < 1e-9)
+      assert(tree.nearestWithin(q, bd / 2)._2 > bd / 2)
+    }
+  }
+
   test("empty tree rejects queries") {
     val t = new CoverTree[Vec](EuclideanMetric)
     intercept[IllegalArgumentException](t.nearest(Array(0.0)))

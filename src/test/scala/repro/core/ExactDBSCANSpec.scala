@@ -83,6 +83,19 @@ class ExactDBSCANSpec extends AnyFunSuite {
     }
   }
 
+  test("Remark 5: a reused ε/2 net of a CLUTO-like input matches original DBSCAN at larger ε") {
+    // Its per-ball cover trees once filed points under too-low nodes, so a
+    // BCP query missed a merge and split a cluster at every setting below.
+    val pts = Datasets.cluto(1500, seed = 1).points
+    val g   = Gonzalez.run(pts, EuclideanMetric, 0.4)
+    for ((eps, mp) <- Seq((1.0, 5), (1.0, 10), (1.6, 5))) {
+      val want = NaiveDBSCAN.run(pts, EuclideanMetric, eps, mp)
+      val got  = ExactDBSCAN.run(pts, EuclideanMetric, eps, mp,
+        rBarOpt = Some(0.4), precomputed = Some((g, 0L))).result
+      withClue(s"(ε′ $eps, MinPts $mp): ")(assertSameDBSCAN(pts, EuclideanMetric, eps, got, want))
+    }
+  }
+
   test("rBar > ε/2 is rejected") {
     val pts = blobs(50, 2, 1, seed = 60)
     intercept[IllegalArgumentException] {

@@ -69,4 +69,20 @@ class RandomizedEquivalenceSpec extends AnyFunSuite {
       assertSameDBSCAN(pts, EuclideanMetric, eps, got, want)
     }
   }
+
+  test("exact ≡ naive on 3000 tiny instances (n 20–80, d 1–2, MinPts 1–5)") {
+    val rnd = new Random(77)
+    for (t <- 0 until 3000) {
+      val n   = 20 + rnd.nextInt(61)
+      val d   = 1 + rnd.nextInt(2)
+      val mp  = 1 + rnd.nextInt(5)
+      val pts = IndexedSeq.fill(n)(Array.fill(d)(rnd.nextDouble() * 10))
+      val eps = 0.3 + rnd.nextDouble() * 2.7
+      val want = NaiveDBSCAN.run(pts, EuclideanMetric, eps, mp)
+      val got  = ExactDBSCAN.run(pts, EuclideanMetric, eps, mp).result
+      withClue(f"instance $t (n=$n, d=$d, eps=$eps%.3f, minPts=$mp): ") {
+        assertSameDBSCAN(pts, EuclideanMetric, eps, got, want)
+      }
+    }
+  }
 }

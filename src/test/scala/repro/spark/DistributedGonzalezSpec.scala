@@ -59,6 +59,17 @@ class DistributedGonzalezSpec extends SparkSpec {
     assert(res.assigned.count() == 400)
   }
 
+  test("iterative mode fails loudly when maxCenters stops it before the net covers") {
+    val pts = uniform(200, 2, seed = 206)
+    val err = intercept[IllegalArgumentException] {
+      DistributedGonzalez.run(toRdd(pts), EuclideanMetric, rBar = 0.5, maxCenters = 3)
+    }
+    assert(err.getMessage.contains("maxCenters = 3"), err.getMessage)
+    // A cap the net does not reach raises nothing.
+    val net = DistributedGonzalez.run(toRdd(pts), EuclideanMetric, rBar = 4.0, maxCenters = 50)
+    assert(net.centers.length < 50)
+  }
+
   test("partitioned mode: r̄-covering holds, packing at r̄/2") {
     val pts  = blobs(600, 3, 4, outliers = 10, seed = 204)
     val rBar = 1.2
