@@ -12,6 +12,8 @@ package repro.core
   *     (∪_{e∈A_s} C_e) ∩ S* (Lemma 11);
   *   - label the rest: p inherits c_p's id if c_p ∈ S*, else the id of any
   *     s ∈ S* with dis(p, s) ≤ (1 + ρ/2)ε, else outlier.
+  * The merge and the labeling are [[Summary]]'s, shared with the streaming
+  * and Spark drivers.
   *
   * Output respects Definition 2 (Theorem 2): maximality + ρ-relaxed
   * connectivity, every core point in exactly one cluster.
@@ -75,9 +77,11 @@ object ApproxDBSCAN {
     }
 
     val isCenterCore = new Array[Boolean](k)
-    val summary      = scala.collection.mutable.ArrayBuffer.empty[Int] // point indices
+    val ballStart    = new Array[Int](k + 1)
+    val summary      = scala.collection.mutable.ArrayBuffer.empty[Int] // point indices, ball by ball
     var e = 0
     while (e < k) {
+      ballStart(e) = summary.length
       val cIdx = g.centerIdx(e)
       // |C_e| ≥ MinPts ⇒ e is core without any distance evaluation
       // (C_e ⊆ B(e, r̄) ⊆ B(e, ε) since r̄ = ρε/2 ≤ ε for ρ ≤ 2).
@@ -95,87 +99,33 @@ object ApproxDBSCAN {
       }
       e += 1
     }
+    ballStart(k) = summary.length
     val sStar     = summary.toArray
     val inSummary = new Array[Boolean](n)
     sStar.foreach(inSummary(_) = true)
     val summaryNs = System.nanoTime() - t1
 
-    // ---- Merge inside S* at (1+ρ)ε ---------------------------------------
+    // ---- Merge inside S* at (1+ρ)ε, searching A_s (Lemma 11) -------------
     val t2 = System.nanoTime()
-    // Bucket the summary by ball so the A_s restriction applies.
-    val summaryByBall = Array.fill(k)(List.empty[Int]) // positions into sStar
-    var si = 0
-    while (si < sStar.length) {
-      summaryByBall(g.assignment(sStar(si))) ::= si
-      si += 1
-    }
-    val uf       = new UnionFind(sStar.length)
-    val mergeEps = (1.0 + rho) * eps
-    si = 0
-    while (si < sStar.length) {
-      val s  = sStar(si)
-      val e0 = g.assignment(s)
-      var a  = 0
-      while (a < A(e0).length) {
-        var lst = summaryByBall(A(e0)(a))
-        while (lst.nonEmpty) {
-          val sj = lst.head
-          if (sj > si && !uf.connected(si, sj) &&
-              metric.distWithin(points(s), points(sStar(sj)), mergeEps) <= mergeEps) uf.union(si, sj)
-          lst = lst.tail
-        }
-        a += 1
-      }
-      si += 1
-    }
-    val sLabel  = uf.componentIds
+    val s  = new Summary(summary.map(points), ballStart, isCenterCore, A, metric, eps, rho)
+    s.merge()
     val mergeNs = System.nanoTime() - t2
 
     // ---- Label everything -------------------------------------------------
     val t3     = System.nanoTime()
     val labels = Array.fill(n)(DBSCANResult.Noise)
     val types  = Array.fill(n)(PointType.Outlier)
-    si = 0
+    var si = 0
     while (si < sStar.length) {
-      labels(sStar(si)) = sLabel(si)
+      labels(sStar(si)) = s.clusterAt(si)
       types(sStar(si))  = PointType.Core
       si += 1
     }
-    // Summary position of each center that is in S* (for the c_p shortcut).
-    val centerSummaryPos = Array.fill(k)(-1)
-    si = 0
-    while (si < sStar.length) {
-      val e2 = g.assignment(sStar(si))
-      if (g.centerIdx(e2) == sStar(si)) centerSummaryPos(e2) = si
-      si += 1
-    }
-    val assignEps = (1.0 + rho / 2.0) * eps
     var p = 0
     while (p < n) {
       if (!inSummary(p)) {
-        val e0 = g.assignment(p)
-        if (centerSummaryPos(e0) >= 0) {
-          labels(p) = sLabel(centerSummaryPos(e0))
-          types(p)  = PointType.Border
-        } else {
-          // Search A_p's region of S* for an s within (1 + ρ/2)ε.
-          val pp    = points(p)
-          var found = -1
-          var a     = 0
-          while (a < A(e0).length && found < 0) {
-            var lst = summaryByBall(A(e0)(a))
-            while (lst.nonEmpty && found < 0) {
-              val sj = lst.head
-              if (metric.distWithin(pp, points(sStar(sj)), assignEps) <= assignEps) found = sj
-              lst = lst.tail
-            }
-            a += 1
-          }
-          if (found >= 0) {
-            labels(p) = sLabel(found)
-            types(p)  = PointType.Border
-          }
-        }
+        labels(p) = s.label(points(p), g.assignment(p))
+        if (labels(p) != DBSCANResult.Noise) types(p) = PointType.Border
       }
       p += 1
     }

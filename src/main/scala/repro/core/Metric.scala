@@ -22,7 +22,9 @@ trait Metric[T] extends Serializable {
   def distWithin(a: T, b: T, bound: Double): Double = dist(a, b)
 }
 
-/** Plain Euclidean distance on dense vectors (t_dis = O(d)). */
+/** Plain Euclidean distance on dense vectors (t_dis = O(d)); a NaN
+  * coordinate fails the call.
+  */
 object EuclideanMetric extends Metric[Array[Double]] {
   override def dist(a: Array[Double], b: Array[Double]): Double = {
     require(a.length == b.length, s"dimension mismatch: ${a.length} vs ${b.length}")
@@ -30,6 +32,8 @@ object EuclideanMetric extends Metric[Array[Double]] {
     var i  = 0
     val n  = a.length
     while (i < n) { val d = a(i) - b(i); s += d * d; i += 1 }
+    // A NaN would fail every ≤ test and turn its point into a silent outlier.
+    require(!s.isNaN, "NaN coordinate")
     math.sqrt(s)
   }
 }

@@ -14,10 +14,14 @@ import scala.collection.mutable.ArrayBuffer
   * points — this is what bounds |M|.
   *
   * Pass 2: re-scan the stream to count exact ε-neighborhoods of the buffered
-  * M-points; those that are core join S*. S* is then merged offline at
-  * (1+ρ)ε exactly like Algorithm 2 line 9.
+  * M-points; those that are core join S*. S* (core centers and core
+  * M-points, ball by ball) is then merged offline at (1+ρ)ε by the
+  * [[Summary]] `ApproxDBSCAN` uses too (Algorithm 2 line 9), searching every
+  * ball, since the stream keeps no A_e sets.
   *
-  * Pass 3: re-scan to label every point (Algorithm 2 lines 10–20).
+  * Pass 3: re-scan to label every point by `Summary.label` from its first
+  * ball within r̄ (Algorithm 2 lines 10–20); a point in no ball searches all
+  * of S*.
   *
   * The class is batch-incremental: feed any number of chunks to
   * [[observePass1]]/[[observePass2]]/[[labelPass3]]; this is the engine under
@@ -41,12 +45,9 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
   private var pass1Done    = false
   private var pass2Started = false
   // After pass 2 / merge:
-  private var mCandidates: Array[T]   = _
-  private var mCounts: Array[Int]     = _
-  private var summaryPts: Array[T]    = _
-  private var summaryLbl: Array[Int]  = _
-  private var centerSummaryPos: Array[Int] = _ // ball -> summary position (or -1)
-  private var merged = false
+  private var mCandidates: Array[T] = _ // M, ball by ball
+  private var mCounts: Array[Int]   = _
+  private var summary: Summary[T]   = _
 
   def numBalls: Int = centers.length
 
@@ -103,11 +104,7 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
     */
   def observePass2(chunk: IterableOnce[T]): Unit = {
     require(pass1Done, "finishPass1() first")
-    if (!pass2Started) {
-      pass2Started = true
-      mCandidates = buffers.iterator.flatMap(_.iterator).toArray
-      mCounts     = new Array[Int](mCandidates.length)
-    }
+    if (!pass2Started) startPass2()
     chunk.iterator.foreach { q =>
       var i = 0
       while (i < mCandidates.length) {
@@ -117,65 +114,51 @@ final class StreamingDBSCAN[T: scala.reflect.ClassTag](
     }
   }
 
-  /** Close pass 2 and merge S* offline at (1+ρ)ε (Algorithm 2 line 9). */
-  def mergeSummary(): Unit = {
-    require(pass1Done, "finishPass1() first")
-    if (merged) return
-    if (!pass2Started) { mCandidates = buffers.iterator.flatMap(_.iterator).toArray; mCounts = new Array[Int](mCandidates.length) }
-    merged = true
-    val pts = ArrayBuffer.empty[T]
-    centerSummaryPos = Array.fill(centers.length)(-1)
-    var e = 0
-    while (e < centers.length) {
-      if (centerCore(e)) { centerSummaryPos(e) = pts.length; pts += centers(e) }
-      e += 1
-    }
-    var i = 0
-    while (i < mCandidates.length) {
-      if (mCounts(i) >= minPts) pts += mCandidates(i)
-      i += 1
-    }
-    summaryPts = pts.toArray
-    val uf       = new UnionFind(summaryPts.length)
-    val mergeEps = (1.0 + rho) * eps
-    var a = 0
-    while (a < summaryPts.length) {
-      var b = a + 1
-      while (b < summaryPts.length) {
-        if (!uf.connected(a, b) && metric.distWithin(summaryPts(a), summaryPts(b), mergeEps) <= mergeEps)
-          uf.union(a, b)
-        b += 1
-      }
-      a += 1
-    }
-    summaryLbl = uf.componentIds
+  private def startPass2(): Unit = {
+    pass2Started = true
+    mCandidates = buffers.iterator.flatMap(_.iterator).toArray
+    mCounts     = new Array[Int](mCandidates.length)
   }
 
-  def summarySize: Int = { require(merged, "mergeSummary() first"); summaryPts.length }
+  /** Close pass 2 and merge S* offline at (1+ρ)ε (Algorithm 2 line 9). S* is
+    * laid out ball by ball: a core center, or its ball's core M points.
+    */
+  def mergeSummary(): Unit = {
+    require(pass1Done, "finishPass1() first")
+    if (summary != null) return
+    if (!pass2Started) startPass2()
+    val k     = centers.length
+    val start = new Array[Int](k + 1)
+    val pts   = ArrayBuffer.empty[T]
+    var i     = 0
+    var e     = 0
+    while (e < k) {
+      start(e) = pts.length
+      if (centerCore(e)) pts += centers(e)
+      buffers(e).foreach { p => if (mCounts(i) >= minPts) pts += p; i += 1 }
+      e += 1
+    }
+    start(k) = pts.length
+    summary = new Summary(pts, start, centerCore.toArray, Summary.everyBall(k), metric, eps, rho)
+    summary.merge()
+  }
+
+  def summarySize: Int = { require(summary != null, "mergeSummary() first"); summary.size }
 
   // ---- Pass 3 ---------------------------------------------------------------
   /** Label a chunk of the (re-scanned) stream: cluster id or Noise per point. */
   def labelPass3(chunk: IterableOnce[T]): Iterator[Int] = {
-    require(merged, "mergeSummary() first")
-    val assignEps = (1.0 + rho / 2.0) * eps
+    require(summary != null, "mergeSummary() first")
     chunk.iterator.map { p =>
-      // c_p = first ball within r̄, matching the pass-1 assignment rule.
+      // c_p = first ball within r̄, matching the pass-1 assignment rule;
+      // a point pass 1 never saw may lie in none (c_p = −1).
       var cp = -1
       var e  = 0
       while (e < centers.length && cp < 0) {
         if (metric.distWithin(p, centers(e), rBar) <= rBar) cp = e
         e += 1
       }
-      if (cp >= 0 && centerSummaryPos(cp) >= 0) summaryLbl(centerSummaryPos(cp))
-      else {
-        var found = -1
-        var s     = 0
-        while (s < summaryPts.length && found < 0) {
-          if (metric.distWithin(p, summaryPts(s), assignEps) <= assignEps) found = s
-          s += 1
-        }
-        if (found >= 0) summaryLbl(found) else DBSCANResult.Noise
-      }
+      summary.label(p, cp)
     }
   }
 }

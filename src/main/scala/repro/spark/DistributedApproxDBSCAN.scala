@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{ApproxDBSCAN, DBSCANResult, Metric, UnionFind}
+import repro.core.{ApproxDBSCAN, Metric, Summary}
 import scala.reflect.ClassTag
 
 /** Distributed ρ-approximate metric DBSCAN (Algorithm 2 as RDD map/reduce).
@@ -13,13 +13,17 @@ import scala.reflect.ClassTag
   *   2. core centers — broadcast E; `flatMap` each point to the centers
   *      within ε; `reduceByKey` the counts; a center is core iff ≥ MinPts;
   *   3. M — members of non-core balls, collected to the driver (provably
-  *      < MinPts per ball, so |M| = O(MinPts·|E|): summary-sized);
+  *      < MinPts per ball, so |M| = O(MinPts·|E|): summary-sized) and sorted
+  *      there by (ball, id), so S* can be laid out ball by ball;
   *   4. core M-members — broadcast M; `flatMap`+`reduceByKey` exact
   *      ε-neighborhood counts;
-  *   5. merge S* on the driver at (1+ρ)ε (|S*|² work on a summary-sized set);
-  *   6. labeling — broadcast the labeled summary; one `map` labels every
-  *      point (Algorithm 2 lines 10–20). Output is a DataFrame (id, label)
-  *      so downstream verification runs through Catalyst/DuckDB.
+  *   5. S* = core centers and core M-members, ball by ball, merged on the
+  *      driver at (1+ρ)ε by the shared [[repro.core.Summary]] (every ball is
+  *      searched: there are no A_e sets here);
+  *   6. labeling — broadcast the merged `Summary`; one `map` labels every
+  *      point by `Summary.label` (Algorithm 2 lines 10–20). Output is a
+  *      DataFrame (id, label) so downstream verification runs through
+  *      Catalyst/DuckDB.
   */
 object DistributedApproxDBSCAN {
 
@@ -31,8 +35,7 @@ object DistributedApproxDBSCAN {
       metric: Metric[T],
       eps: Double,
       minPts: Int,
-      rho: Double,
-      partitionedNet: Boolean = false
+      rho: Double
   ): Output = {
     require(eps > 0 && minPts >= 1)
     ApproxDBSCAN.requireRho(rho)
@@ -40,8 +43,7 @@ object DistributedApproxDBSCAN {
     val rBar = rho * eps / 2.0
 
     // ---- 1. net construction ------------------------------------------------
-    val net = if (partitionedNet) DistributedGonzalez.runPartitioned(data, metric, rBar)
-              else DistributedGonzalez.run(data, metric, rBar)
+    val net     = DistributedGonzalez.run(data, metric, rBar)
     val centers = net.centers
     val k       = centers.length
     val bcC     = sc.broadcast(centers)
@@ -63,12 +65,13 @@ object DistributedApproxDBSCAN {
       .toMap
     val centerCore = Array.tabulate(k)(e => centerCounts.getOrElse(e, 0L) >= minPts)
 
-    // ---- 3. members of non-core balls (the M set) -----------------------------
+    // ---- 3. members of non-core balls (the M set), ball by ball ---------------
     val bcCore = sc.broadcast(centerCore)
-    val m: Array[(Long, T)] = net.assigned
+    val m: Array[(Int, Long, T)] = net.assigned
       .filter(a => !bcCore.value(a.center))
-      .map(a => (a.id, a.point))
+      .map(a => (a.center, a.id, a.point))
       .collect()
+      .sortBy(a => (a._1, a._2))
 
     // ---- 4. exact ε-neighborhood counts for M ----------------------------------
     val bcM = sc.broadcast(m)
@@ -78,7 +81,7 @@ object DistributedApproxDBSCAN {
         val out = scala.collection.mutable.ArrayBuffer.empty[(Int, Long)]
         var i = 0
         while (i < mm.length) {
-          if (metric.distWithin(q, mm(i)._2, eps) <= eps) out += ((i, 1L))
+          if (metric.distWithin(q, mm(i)._3, eps) <= eps) out += ((i, 1L))
           i += 1
         }
         out
@@ -88,40 +91,25 @@ object DistributedApproxDBSCAN {
       .toMap
 
     // ---- 5. S* + offline merge --------------------------------------------------
-    val summary = scala.collection.mutable.ArrayBuffer.empty[T]
-    val centerSummaryPos = Array.fill(k)(-1)
-    for (e <- 0 until k if centerCore(e)) {
-      centerSummaryPos(e) = summary.length
-      summary += centers(e)
+    val start = new Array[Int](k + 1)
+    val pts   = scala.collection.mutable.ArrayBuffer.empty[T]
+    var i     = 0
+    for (e <- 0 until k) {
+      start(e) = pts.length
+      if (centerCore(e)) pts += centers(e)
+      while (i < m.length && m(i)._1 == e) {
+        if (mCounts.getOrElse(i, 0L) >= minPts) pts += m(i)._3
+        i += 1
+      }
     }
-    for (i <- m.indices if mCounts.getOrElse(i, 0L) >= minPts)
-      summary += m(i)._2
-    val uf       = new UnionFind(summary.length)
-    val mergeEps = (1.0 + rho) * eps
-    for (a <- summary.indices; b <- a + 1 until summary.length)
-      if (!uf.connected(a, b) && metric.distWithin(summary(a), summary(b), mergeEps) <= mergeEps) uf.union(a, b)
-    val sLabel = uf.componentIds
+    start(k) = pts.length
+    val summary = new Summary(pts, start, centerCore, Summary.everyBall(k), metric, eps, rho)
+    summary.merge()
 
     // ---- 6. one labeling pass ----------------------------------------------------
-    val bcSummary = sc.broadcast((summary.toIndexedSeq, sLabel, centerSummaryPos))
-    val assignEps = (1.0 + rho / 2.0) * eps
-    val labeledRdd: RDD[(Long, Int)] = net.assigned.map { a =>
-      val (sPts, lbl, cPos) = bcSummary.value
-      val viaCenter = if (a.dist <= rBar && cPos(a.center) >= 0) lbl(cPos(a.center)) else Int.MinValue
-      val out =
-        if (viaCenter != Int.MinValue) viaCenter
-        else {
-          var found = -1
-          var s     = 0
-          while (s < sPts.length && found < 0) {
-            if (metric.distWithin(a.point, sPts(s), assignEps) <= assignEps) found = s
-            s += 1
-          }
-          if (found >= 0) lbl(found) else DBSCANResult.Noise
-        }
-      (a.id, out)
-    }
+    val bcSummary = sc.broadcast(summary)
+    val labeledRdd: RDD[(Long, Int)] = net.assigned.map(a => (a.id, bcSummary.value.label(a.point, a.center)))
     import spark.implicits._
-    Output(labeledRdd.toDF("id", "label"), k, summary.length)
+    Output(labeledRdd.toDF("id", "label"), k, summary.size)
   }
 }

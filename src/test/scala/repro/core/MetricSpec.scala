@@ -43,6 +43,14 @@ class MetricSpec extends AnyFunSuite {
     }
   }
 
+  test("euclidean: a NaN coordinate fails exact, approximate and streaming DBSCAN") {
+    val pts = TestUtil.blobs(60, 2, 2, seed = 3)
+    pts(17)(1) = Double.NaN
+    intercept[IllegalArgumentException](ExactDBSCAN.run(pts, EuclideanMetric, 1.0, 5))
+    intercept[IllegalArgumentException](ApproxDBSCAN.run(pts, EuclideanMetric, 1.0, 5, 0.5))
+    intercept[IllegalArgumentException](StreamingDBSCAN.runBatch(pts, EuclideanMetric, 1.0, 5, 0.5))
+  }
+
   test("edit distance: known values") {
     assert(EditDistanceMetric.dist("kitten", "sitting") == 3.0)
     assert(EditDistanceMetric.dist("flaw", "lawn") == 2.0)

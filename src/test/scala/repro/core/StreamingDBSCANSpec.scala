@@ -90,6 +90,16 @@ class StreamingDBSCANSpec extends AnyFunSuite {
     assert(l1.sameElements(l2), "chunking must not change the result")
   }
 
+  test("pass 3: a point pass 1 never saw, in no ball, still searches all of S*") {
+    // Two dense clumps, far apart; r̄ = 0.25, (1+ρ/2)ε = 1.25.
+    val pts = IndexedSeq(0.0, 0.0, 0.0, 0.1, 0.1, 10.0, 10.0, 10.0, 10.1, 10.1).map(x => Array(x))
+    val (labels, s) = StreamingDBSCAN.runBatch(pts, EuclideanMetric, 1.0, 3, 0.5)
+    assert(labels.distinct.length == 2 && labels.forall(_ >= 0))
+    // 10.9 lies 0.9 from the second clump's center, outside every ball.
+    val stray = s.labelPass3(Seq(Array(10.9), Array(-0.9), Array(50.0))).toSeq
+    assert(stray == Seq(labels(5), labels(0), DBSCANResult.Noise))
+  }
+
   test("pass ordering is enforced") {
     val s = new StreamingDBSCAN[Vec](EuclideanMetric, 1.0, 5, 0.5)
     intercept[IllegalArgumentException](s.observePass2(Seq(Array(0.0))))

@@ -1,18 +1,18 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{EuclideanMetric, TestUtil}
+import repro.core.{ApproxDBSCAN, EuclideanMetric, TestUtil}
+import repro.data.Datasets
 
 class DistributedApproxDBSCANSpec extends SparkSpec {
   import TestUtil._
 
-  private def toRdd(pts: IndexedSeq[Vec]) =
-    spark.sparkContext.parallelize(pts.zipWithIndex.map { case (p, i) => (i.toLong, p) }, 4)
+  private def toRdd(pts: IndexedSeq[Vec], partitions: Int = 4) =
+    spark.sparkContext.parallelize(pts.zipWithIndex.map { case (p, i) => (i.toLong, p) }, partitions)
 
   private def labelsOf(pts: IndexedSeq[Vec], eps: Double, minPts: Int, rho: Double,
-                       partitioned: Boolean = false): Array[Int] = {
-    val out = DistributedApproxDBSCAN.run(spark, toRdd(pts), EuclideanMetric,
-      eps, minPts, rho, partitionedNet = partitioned)
+                       partitions: Int = 4): Array[Int] = {
+    val out = DistributedApproxDBSCAN.run(spark, toRdd(pts, partitions), EuclideanMetric, eps, minPts, rho)
     val got = out.labeled.collect().map(r => (r.getLong(0), r.getInt(1))).toMap
     Array.tabulate(pts.length)(i => got(i.toLong))
   }
@@ -23,17 +23,26 @@ class DistributedApproxDBSCANSpec extends SparkSpec {
     assertSandwich(pts, EuclideanMetric, 1.0, 5, 0.5, labels)
   }
 
-  test("sandwich holds (partitioned one-pass net)") {
-    val pts = blobs(300, 2, 3, outliers = 15, seed = 212)
-    val labels = labelsOf(pts, eps = 1.0, minPts = 5, rho = 0.5, partitioned = true)
-    assertSandwich(pts, EuclideanMetric, 1.0, 5, 0.5, labels)
-  }
-
   test("sandwich holds across rho values") {
     val pts = blobs(250, 2, 2, outliers = 10, seed = 213)
     for (rho <- Seq(0.25, 1.0, 2.0)) {
       val labels = labelsOf(pts, eps = 1.0, minPts = 5, rho = rho)
       assertSandwich(pts, EuclideanMetric, 1.0, 5, rho, labels)
+    }
+  }
+
+  test("labels equal ApproxDBSCAN's point for point") {
+    // With ids equal to input positions the iterative net is the sequential
+    // one, so both drivers build the same S*, ball by ball. These inputs are
+    // sparse enough that at ρ = 0.5 and 2 some non-core balls have core
+    // members, so S* draws on M too.
+    val inputs = Seq(
+      ("blobs", blobs(100, 2, 3, std = 1.0, outliers = 5, seed = 218), 1.0),
+      ("moons", Datasets.moons(100, seed = 219).points, 0.2))
+    for ((name, pts, eps) <- inputs; rho <- Seq(0.25, 0.5, 2.0); parts <- Seq(2, 5)) {
+      val want = ApproxDBSCAN.run(pts, EuclideanMetric, eps, 5, rho).result.labels
+      val got  = labelsOf(pts, eps, 5, rho, parts)
+      assert(got.sameElements(want), s"$name, rho = $rho, $parts partitions")
     }
   }
 

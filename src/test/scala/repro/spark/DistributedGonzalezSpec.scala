@@ -70,18 +70,6 @@ class DistributedGonzalezSpec extends SparkSpec {
     assert(net.centers.length < 50)
   }
 
-  test("partitioned mode: r̄-covering holds, packing at r̄/2") {
-    val pts  = blobs(600, 3, 4, outliers = 10, seed = 204)
-    val rBar = 1.2
-    val res  = DistributedGonzalez.runPartitioned(toRdd(pts), EuclideanMetric, rBar)
-    val centers = res.centers
-    for (i <- centers.indices; j <- i + 1 until centers.length)
-      assert(EuclideanMetric.dist(centers(i), centers(j)) > rBar / 2)
-    res.assigned.collect().foreach { a =>
-      assert(a.dist <= rBar + 1e-9, s"covering violated: ${a.dist}")
-    }
-  }
-
   test("works under edit distance on an RDD of strings") {
     val rnd  = new scala.util.Random(205)
     val strs = IndexedSeq.fill(120)(
