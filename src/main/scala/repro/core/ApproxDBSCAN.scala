@@ -5,9 +5,13 @@ package repro.core
   * Pipeline with r̄ = ρε/2 (so the net is much coarser than the exact
   * algorithm's ε/2-net when ρ < 1):
   *   - radius-guided Gonzalez → E, C_e, and A_e with the enlarged threshold
-  *     4r̄ + ε (eq. (13));
+  *     4r̄ + ε (eq. (13)), taken from the center pairs the net itself
+  *     evaluated;
   *   - summary S*: for each e ∈ E, add e itself if e is a core point, else
-  *     add every core member of C_e (Lemma 8: at most MinPts of them);
+  *     add every core member of C_e (Lemma 8: at most MinPts of them). A
+  *     point's ε-neighbors are counted in its own ball first, then in the
+  *     balls within 2r̄ + ε (Lemma 2: every ε-neighbor lies there), and the
+  *     count stops at MinPts;
   *   - merge inside S* at radius (1+ρ)ε with search restricted to
   *     (∪_{e∈A_s} C_e) ∩ S* (Lemma 11);
   *   - label the rest: p inherits c_p's id if c_p ∈ S*, else the id of any
@@ -52,29 +56,16 @@ object ApproxDBSCAN {
     val rBar = rho * eps / 2.0
     val n    = points.length
 
-    val (g, gonzalezNs) = Gonzalez.netFor(points, metric, rBar, precomputed)
+    val (g, gonzalezNs) = Gonzalez.netFor(points, metric, rBar, precomputed, keepWithin = 4 * rBar + eps)
     val k = g.numCenters
 
     // ---- Build the summary S* -------------------------------------------
-    val t1 = System.nanoTime()
-    val A  = Gonzalez.neighborSets(points, metric, g, 4 * rBar + eps)
+    val t1    = System.nanoTime()
+    val pairs = Gonzalez.centerPairs(points, metric, g, 4 * rBar + eps)
+    val A     = pairs.filter(4 * rBar + eps) // merge and labeling, eq. (13)
+    val near  = pairs.filter(2 * rBar + eps) // core counting, Lemma 2
 
-    /** |B(points(p), ε) ∩ X| restricted (safely, per Lemma 2) to A_e's region. */
-    def neighborCount(p: Int, e: Int): Int = {
-      val pp  = points(p)
-      var cnt = 0
-      var a   = 0
-      while (a < A(e).length) {
-        val cn = g.coverSets(A(e)(a))
-        var j  = 0
-        while (j < cn.length) {
-          if (metric.distWithin(pp, points(cn(j)), eps) <= eps) cnt += 1
-          j += 1
-        }
-        a += 1
-      }
-      cnt
-    }
+    def isCore(p: Int, e: Int): Boolean = Gonzalez.reachesMinPts(points, metric, g, near(e), p, e, eps, minPts)
 
     val isCenterCore = new Array[Boolean](k)
     val ballStart    = new Array[Int](k + 1)
@@ -86,14 +77,14 @@ object ApproxDBSCAN {
       // |C_e| ≥ MinPts ⇒ e is core without any distance evaluation
       // (C_e ⊆ B(e, r̄) ⊆ B(e, ε) since r̄ = ρε/2 ≤ ε for ρ ≤ 2).
       isCenterCore(e) =
-        g.coverSets(e).length >= minPts || neighborCount(cIdx, e) >= minPts
+        g.coverSets(e).length >= minPts || isCore(cIdx, e)
       if (isCenterCore(e)) summary += cIdx
       else {
         val ce = g.coverSets(e)
         var i  = 0
         while (i < ce.length) {
           val p = ce(i)
-          if (p != cIdx && neighborCount(p, e) >= minPts) summary += p
+          if (p != cIdx && isCore(p, e)) summary += p
           i += 1
         }
       }

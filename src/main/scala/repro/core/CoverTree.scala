@@ -29,10 +29,6 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
   def size: Int = count
   def isEmpty: Boolean = count == 0
 
-  /** Level such that 2^level ≥ d (d > 0). */
-  private def levelFor(d: Double): Int =
-    math.max(-60, math.min(62, math.ceil(math.log(d) / math.log(2.0)).toInt))
-
   /** Insert `point` with caller id `idx`. */
   def insert(point: T, idx: Int): Unit = {
     count += 1
@@ -40,7 +36,7 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
     val dRoot = metric.dist(point, root.point)
     if (dRoot == 0.0) { root.duplicates ::= idx; return }
     // Raise the root level until the new point fits under it.
-    if (dRoot > Math.scalb(1.0, root.level)) root.level = levelFor(dRoot)
+    if (dRoot > Math.scalb(1.0, root.level)) root.level = CoverTree.levelFor(dRoot)
     insertRec(root, point, idx, dRoot)
   }
 
@@ -109,6 +105,16 @@ final class CoverTree[T](metric: Metric[T]) extends Serializable {
 }
 
 object CoverTree {
+
+  /** The least level ≥ −60 with 2^level ≥ d (d > 0), exact: 2^getExponent(d)
+    * ≤ d < 2^(getExponent(d)+1), and d itself when it is a power of two.
+    * (A logarithm ratio rounds: ⌈log d / log 2⌉ gives 2^level < d for many
+    * d just above a power of two.)
+    */
+  private[core] def levelFor(d: Double): Int = {
+    val e = Math.getExponent(d)
+    math.max(-60, if (Math.scalb(1.0, e) >= d) e else e + 1)
+  }
 
   /** Build a cover tree over `ids`, where `points(id)` is the payload. */
   def build[T](points: IndexedSeq[T], ids: Iterable[Int], metric: Metric[T]): CoverTree[T] = {

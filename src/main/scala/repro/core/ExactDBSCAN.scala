@@ -5,11 +5,12 @@ package repro.core
   * Pipeline:
   *   0. Pre-process with radius-guided Gonzalez (Algorithm 1) at r̄ = ε/2,
   *      yielding the ε/2-net E, cover sets C_e and neighbor sets A_e
-  *      (threshold 2r̄ + ε, eq. (1)).
+  *      (threshold 2r̄ + ε, eq. (1)), taken from the center pairs the net
+  *      itself evaluated.
   *   1. *Label core points*: every member of a dense ball (|C_e| ≥ MinPts)
   *      is core by the triangle inequality (C_{c_p} ⊆ B(p, ε)); members of
   *      sparse balls count their ε-neighborhood inside ∪_{e'∈A_e} C_{e'}
-  *      only (Lemma 2 licenses the restriction).
+  *      only (Lemma 2 licenses the restriction), C_e first, up to MinPts.
   *   2. *Merge*: per-ball core sets C̃_e merge iff their bichromatic closest
   *      pair distance ≤ ε; each BCP instance is solved with a cover tree
   *      over C̃_e and NN queries from C̃_{e'}; connectivity via union-find.
@@ -49,7 +50,7 @@ object ExactDBSCAN {
     require(rBar <= eps / 2.0 + 1e-12, s"rBar=$rBar must be ≤ ε/2=${eps / 2}")
     val n = points.length
 
-    val (g, gonzalezNs) = Gonzalez.netFor(points, metric, rBar, precomputed)
+    val (g, gonzalezNs) = Gonzalez.netFor(points, metric, rBar, precomputed, keepWithin = 2 * rBar + eps)
     val k = g.numCenters
 
     // ---- Step 1: label core points -------------------------------------
@@ -59,35 +60,13 @@ object ExactDBSCAN {
     var e = 0
     while (e < k) {
       val ce = g.coverSets(e)
-      if (ce.length >= minPts) {
-        // Dense ball: C_e ⊆ B(p, ε) for every p ∈ C_e, so all are core.
-        var i = 0
-        while (i < ce.length) { isCore(ce(i)) = true; i += 1 }
-      } else {
-        // Sparse ball: count ε-neighbors inside the A_e-restricted region.
-        var i = 0
-        while (i < ce.length) {
-          val p   = ce(i)
-          val pp  = points(p)
-          var cnt = 0
-          var a   = 0
-          var done = false
-          while (a < A(e).length && !done) {
-            val ne = A(e)(a)
-            val cn = g.coverSets(ne)
-            var j  = 0
-            while (j < cn.length && !done) {
-              if (metric.distWithin(pp, points(cn(j)), eps) <= eps) {
-                cnt += 1
-                if (cnt >= minPts) done = true
-              }
-              j += 1
-            }
-            a += 1
-          }
-          isCore(p) = cnt >= minPts
-          i += 1
-        }
+      // Dense ball: C_e ⊆ B(p, ε) for every p ∈ C_e, so all are core.
+      // Sparse ball: count ε-neighbors inside the A_e-restricted region.
+      val dense = ce.length >= minPts
+      var i = 0
+      while (i < ce.length) {
+        isCore(ce(i)) = dense || Gonzalez.reachesMinPts(points, metric, g, A(e), ce(i), e, eps, minPts)
+        i += 1
       }
       e += 1
     }

@@ -12,12 +12,15 @@ import scala.collection.mutable.ArrayBuffer
   * @param distToCenter dis(p, c_p) for every point
   * @param coverSets   position e ↦ the cover set C_e = { p | c_p = e }, as
   *                    point indices
+  * @param pairs       the center pairs the run evaluated within its
+  *                    `keepWithin` threshold, if it kept any
   */
 final case class GonzalezResult(
     centerIdx: IndexedSeq[Int],
     assignment: Array[Int],
     distToCenter: Array[Double],
-    coverSets: IndexedSeq[Array[Int]]
+    coverSets: IndexedSeq[Array[Int]],
+    pairs: Option[CenterPairs] = None
 ) {
   def numCenters: Int = centerIdx.length
 
@@ -25,6 +28,27 @@ final case class GonzalezResult(
     * unless a `maxCenters` cap stopped the run early).
     */
   def coveringRadius: Double = if (distToCenter.isEmpty) 0.0 else distToCenter.max
+}
+
+/** Center pairs within `within`: for every center position e, `nbr(e)`
+  * lists in ascending order the positions e′ with dis(e, e′) ≤ within, e
+  * itself included, and `dist(e)` holds those distances, each exact.
+  */
+final case class CenterPairs(within: Double, nbr: IndexedSeq[Array[Int]], dist: IndexedSeq[Array[Double]]) {
+
+  /** For every center position, the positions within `threshold`, in
+    * ascending order (the paper's A_p at that threshold). No distance call.
+    */
+  def filter(threshold: Double): IndexedSeq[Array[Int]] = {
+    require(threshold <= within, s"threshold $threshold exceeds the stored pairs' $within")
+    if (threshold == within) nbr
+    else nbr.indices.map { e =>
+      val out = Array.newBuilder[Int]
+      var j   = 0
+      while (j < dist(e).length) { if (dist(e)(j) <= threshold) out += nbr(e)(j); j += 1 }
+      out.result()
+    }
+  }
 }
 
 /** Radius-guided Gonzalez k-center (Algorithm 1).
@@ -53,6 +77,13 @@ final case class GonzalezResult(
   * distance evaluations falls. (The argument is exact real arithmetic: with
   * rounded distances the two could differ only for a point at an exact
   * midpoint of c and e, at the last bit of its distance.)
+  *
+  * *Center pairs.* Every pair of centers is evaluated exactly once, when the
+  * later one is chosen. With a `keepWithin` threshold that evaluation is
+  * bounded at max(2·rad(e), keepWithin) instead of 2·rad(e): the skip
+  * decision is the same, and every pair within keepWithin comes back exact
+  * and is kept. So the A_p sets of Algorithm 1 (eq. (1) at 2r̄+ε, eq. (13)
+  * at 4r̄+ε) cost no further distance call.
   */
 object Gonzalez {
 
@@ -66,17 +97,21 @@ object Gonzalez {
     *                   bound is O((Δ/r̄)^D + z) but adversarial data could
     *                   blow up; callers may cap. A capped run may stop before
     *                   E covers X at r̄ (see `GonzalezResult.coveringRadius`).
+    * @param keepWithin keep the center pairs within this distance in
+    *                   `GonzalezResult.pairs` (default: keep none)
     */
   def run[T](
       points: IndexedSeq[T],
       metric: Metric[T],
       rBar: Double,
       seedIdx: Int = 0,
-      maxCenters: Int = Int.MaxValue
+      maxCenters: Int = Int.MaxValue,
+      keepWithin: Double = Double.NegativeInfinity
   ): GonzalezResult = {
     require(rBar > 0, s"rBar must be positive, got $rBar")
     require(points.nonEmpty, "empty input")
     require(maxCenters >= 1, s"maxCenters must be positive, got $maxCenters")
+    require(!keepWithin.isNaN, "keepWithin is NaN")
     val n          = points.length
     val cap        = math.min(n, maxCenters)
     val assignment = new Array[Int](n)
@@ -90,6 +125,7 @@ object Gonzalez {
     val rad     = new Array[Double](cap)
     val far     = new Array[Int](cap)
     val taken   = new Array[Int](n) // points the new center takes over
+    val pairs   = if (keepWithin >= 0) new PairLists(cap) else null
 
     def setRadius(e: Int): Unit = {
       val m = members(e)
@@ -125,7 +161,9 @@ object Gonzalez {
       } else {
         var e = 0
         while (e < k) {
-          val half = metric.distWithin(c, points(centers(e)), 2 * rad(e)) / 2
+          val d = metric.distWithin(c, points(centers(e)), math.max(2 * rad(e), keepWithin))
+          if (d <= keepWithin) { pairs.add(k, e, d); pairs.add(e, k, d) }
+          val half = d / 2
           // Negated tests throughout, so a NaN distance prunes nothing.
           if (!(rad(e) <= half)) {
             // Relax the members of C_e that c may be closer to; the ones that
@@ -159,6 +197,7 @@ object Gonzalez {
           e += 1
         }
       }
+      if (pairs != null) pairs.add(k, k, 0.0)
       members(k) = Arrays.copyOf(taken, cnt)
       size(k) = cnt
       setRadius(k)
@@ -177,11 +216,36 @@ object Gonzalez {
       Arrays.sort(s)
       s
     }
-    GonzalezResult(centers.toIndexedSeq, assignment, dists, sets)
+    GonzalezResult(centers.toIndexedSeq, assignment, dists, sets,
+      Option(pairs).map(_.result(centers.length, keepWithin)))
+  }
+
+  /** Per-center lists of (position, distance) pairs, grown as pairs arrive.
+    * Each list stays ascending when pairs are added in order of their later
+    * center, with a center's own entry after the earlier centers'.
+    */
+  private final class PairLists(cap: Int) {
+    private val nbr  = new Array[Array[Int]](cap)
+    private val dist = new Array[Array[Double]](cap)
+    private val size = new Array[Int](cap)
+
+    def add(e: Int, other: Int, d: Double): Unit = {
+      val s = size(e)
+      if (nbr(e) == null) { nbr(e) = new Array[Int](4); dist(e) = new Array[Double](4) }
+      else if (s == nbr(e).length) { nbr(e) = Arrays.copyOf(nbr(e), 2 * s); dist(e) = Arrays.copyOf(dist(e), 2 * s) }
+      nbr(e)(s) = other
+      dist(e)(s) = d
+      size(e) = s + 1
+    }
+
+    def result(k: Int, within: Double): CenterPairs =
+      CenterPairs(within, IndexedSeq.tabulate(k)(e => Arrays.copyOf(nbr(e), size(e))),
+        IndexedSeq.tabulate(k)(e => Arrays.copyOf(dist(e), size(e))))
   }
 
   /** The net a DBSCAN run works on and its wall time in ns: `precomputed`
-    * when given (re-tuning on a reused net, Remark 5), else a fresh run at r̄.
+    * when given (re-tuning on a reused net, Remark 5), else a fresh run at r̄
+    * that keeps the center pairs within `keepWithin`.
     * A precomputed net must cover X at r̄ — one that a `maxCenters` cap
     * stopped early does not, and every guarantee built on it would fail
     * silently — so it is rejected.
@@ -190,7 +254,8 @@ object Gonzalez {
       points: IndexedSeq[T],
       metric: Metric[T],
       rBar: Double,
-      precomputed: Option[(GonzalezResult, Long)]
+      precomputed: Option[(GonzalezResult, Long)],
+      keepWithin: Double
   ): (GonzalezResult, Long) = precomputed match {
     case Some((res, ns)) =>
       require(res.coveringRadius <= rBar,
@@ -199,35 +264,85 @@ object Gonzalez {
       (res, ns)
     case None =>
       val t0 = System.nanoTime()
-      val res = run(points, metric, rBar)
+      val res = run(points, metric, rBar, keepWithin = keepWithin)
       (res, System.nanoTime() - t0)
   }
 
+  /** The center pairs within at least `threshold`: the net's own pairs when
+    * it kept them that far, else every pair evaluated within `threshold` —
+    * O(|E|²) distance calls, needed only for a net built without pairs or a
+    * threshold above the kept one (a re-tune at a larger ε′ on a reused net).
+    */
+  def centerPairs[T](
+      points: IndexedSeq[T],
+      metric: Metric[T],
+      res: GonzalezResult,
+      threshold: Double
+  ): CenterPairs = res.pairs match {
+    case Some(kept) if threshold <= kept.within => kept
+    case _ =>
+      val k     = res.numCenters
+      val cs    = res.centerIdx.map(points)
+      val lists = new PairLists(k)
+      var i = 0
+      while (i < k) {
+        lists.add(i, i, 0.0)
+        var j = i + 1
+        while (j < k) {
+          val d = metric.distWithin(cs(i), cs(j), threshold)
+          if (d <= threshold) { lists.add(i, j, d); lists.add(j, i, d) }
+          j += 1
+        }
+        i += 1
+      }
+      lists.result(k, threshold)
+  }
+
   /** Neighbor-ball center sets: for every center position e, the positions
-    * e' with dis(e, e') ≤ threshold (the paper's A_p, eq. (1) with threshold
-    * 2r̄+ε for the exact algorithm, eq. (13) with 4r̄+ε for Algorithm 2).
-    * A center is always a neighbor of itself. O(|E|²) distance evaluations —
-    * |E| is summary-sized.
+    * e' with dis(e, e') ≤ threshold, in ascending order (the paper's A_p,
+    * eq. (1) with threshold 2r̄+ε for the exact algorithm, eq. (13) with
+    * 4r̄+ε for Algorithm 2). A center is always a neighbor of itself. Read
+    * from the pairs the net kept, with no distance call; O(|E|²) calls only
+    * in [[centerPairs]]'s fallback.
     */
   def neighborSets[T](
       points: IndexedSeq[T],
       metric: Metric[T],
       res: GonzalezResult,
       threshold: Double
-  ): IndexedSeq[Array[Int]] = {
-    val k  = res.numCenters
-    val cs = res.centerIdx.map(points)
-    val out = Array.fill(k)(ArrayBuffer.empty[Int])
-    var i = 0
-    while (i < k) {
-      out(i) += i
-      var j = i + 1
-      while (j < k) {
-        if (metric.distWithin(cs(i), cs(j), threshold) <= threshold) { out(i) += j; out(j) += i }
+  ): IndexedSeq[Array[Int]] = centerPairs(points, metric, res, threshold).filter(threshold)
+
+  /** Whether p, a member of C_e, has at least `minPts` points of X within ε:
+    * counted in C_e first, then in the other balls of `near`, stopping at
+    * `minPts`. `near` must hold every ball that can contain an ε-neighbor of
+    * p; by Lemma 2 the balls within 2r̄+ε of e do.
+    */
+  private[core] def reachesMinPts[T](
+      points: IndexedSeq[T],
+      metric: Metric[T],
+      res: GonzalezResult,
+      near: Array[Int],
+      p: Int,
+      e: Int,
+      eps: Double,
+      minPts: Int
+  ): Boolean = {
+    val pp  = points(p)
+    var cnt = 0
+    def countIn(b: Int): Unit = {
+      val cn = res.coverSets(b)
+      var j  = 0
+      while (j < cn.length && cnt < minPts) {
+        if (metric.distWithin(pp, points(cn(j)), eps) <= eps) cnt += 1
         j += 1
       }
-      i += 1
     }
-    out.map(_.toArray.sorted).toIndexedSeq
+    countIn(e)
+    var a = 0
+    while (a < near.length && cnt < minPts) {
+      if (near(a) != e) countIn(near(a))
+      a += 1
+    }
+    cnt >= minPts
   }
 }

@@ -18,6 +18,16 @@ class CoverTreeSpec extends AnyFunSuite {
     assert(math.abs(d2 - 5.0) < 1e-12)
   }
 
+  test("levelFor gives the least level with 2^level ≥ d, just above powers of two too") {
+    for (e <- -50 to 60) {
+      val p = Math.scalb(1.0, e)
+      assert(CoverTree.levelFor(p) == e, s"d = 2^$e")
+      assert(CoverTree.levelFor(Math.nextUp(p)) == e + 1, s"d = nextUp(2^$e)")
+      assert(CoverTree.levelFor(Math.nextDown(p)) == e, s"d = nextDown(2^$e)")
+    }
+    assert(CoverTree.levelFor(3.0) == 2 && CoverTree.levelFor(1e-30) == -60)
+  }
+
   test("exact duplicates are handled") {
     val t = new CoverTree[Vec](EuclideanMetric)
     for (i <- 0 until 10) t.insert(Array(3.0, 3.0), i)

@@ -23,6 +23,13 @@ object TestUtil {
     pts ++ out
   }
 
+  /** Counts every distance call, bounded or not, and forwards it. */
+  final class CallCountingMetric[T](m: Metric[T]) extends Metric[T] {
+    var calls = 0L
+    override def dist(a: T, b: T): Double = { calls += 1; m.dist(a, b) }
+    override def distWithin(a: T, b: T, bound: Double): Double = { calls += 1; m.distWithin(a, b, bound) }
+  }
+
   def uniform(n: Int, d: Int, lo: Double = 0, hi: Double = 10, seed: Long = 2): IndexedSeq[Vec] = {
     val rnd = new Random(seed)
     IndexedSeq.fill(n)(Array.fill(d)(lo + rnd.nextDouble() * (hi - lo)))
